@@ -43,6 +43,7 @@ __all__ = [
     "STAGE_NAMES",
     "LayerRecord",
     "CompiledPlan",
+    "config_dict",
     "plan_key",
     "plan_nbytes",
     "PlanCache",
@@ -199,6 +200,42 @@ class CompiledPlan:
         return "\n".join(lines)
 
 
+#: (config, field type signature) -> ``dataclasses.asdict(config)``.
+_CONFIG_DICTS: Dict[tuple, Dict[str, object]] = {}
+
+
+def _type_signature(value) -> object:
+    # ``==`` conflates 1, 1.0 and True but JSON does not, so configs
+    # that differ only in a field's numeric type must not share a dict.
+    if isinstance(value, tuple):
+        return tuple(_type_signature(v) for v in value)
+    return type(value)
+
+
+def config_dict(config) -> Dict[str, object]:
+    """``dataclasses.asdict`` of a frozen config dataclass, memoized.
+
+    Every request derives its plan key from the GPU config, the model
+    config and the framework options; requests rebuild equal model
+    configs, so the cache is keyed by value (plus the field types), not
+    identity.  The returned dict is shared: callers must not mutate it.
+    Mutable or unhashable configs fall back to a plain ``asdict``.
+    """
+    params = getattr(config, "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return dataclasses.asdict(config)
+    try:
+        key = (config, tuple(map(_type_signature, vars(config).values())))
+        cached = _CONFIG_DICTS.get(key)
+    except TypeError:  # unhashable field value, or no ``__dict__``
+        return dataclasses.asdict(config)
+    if cached is None:
+        if len(_CONFIG_DICTS) >= 256:
+            _CONFIG_DICTS.clear()
+        cached = _CONFIG_DICTS[key] = dataclasses.asdict(config)
+    return cached
+
+
 def plan_key(
     framework: str,
     model: str,
@@ -223,7 +260,7 @@ def plan_key(
             "graph": graph.fingerprint,
             "model_config": model_config,
             "options": options,
-            "gpu_config": dataclasses.asdict(gpu_config),
+            "gpu_config": config_dict(gpu_config),
             "dispatch_overhead": dispatch_overhead,
         },
         sort_keys=True,

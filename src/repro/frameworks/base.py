@@ -34,7 +34,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..core.pipeline import PlanBuilder
-from ..core.plan import PLAN_CACHE, CompiledPlan, plan_key
+from ..core.plan import PLAN_CACHE, CompiledPlan, config_dict, plan_key
 from ..core.sparse_fetch import SageStrategy
 from ..gpusim.config import GPUConfig
 from ..gpusim.executor import simulate_plan
@@ -153,7 +153,7 @@ class Framework(abc.ABC):
         """A stage-attributing builder for one compilation of ``model``."""
         return PlanBuilder(
             self.name, model_name, graph, sim,
-            model_config=dataclasses.asdict(model),
+            model_config=config_dict(model),
             options=self.plan_options(),
             dispatch_overhead=self.dispatch_overhead,
             label=f"{self.name}:{model_name}:{graph.name}",
@@ -193,7 +193,7 @@ class Framework(abc.ABC):
             options = {**options, "shard": dict(shard_options)}
         key = plan_key(
             self.name, model_name, graph,
-            model_config=dataclasses.asdict(model),
+            model_config=config_dict(model),
             options=options,
             gpu_config=sim,
             dispatch_overhead=self.dispatch_overhead,

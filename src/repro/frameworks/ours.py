@@ -39,7 +39,7 @@ from ..core.lowering import (
     lower_plan,
     node_map_kernel,
 )
-from ..core.plan import CompiledPlan
+from ..core.plan import CompiledPlan, config_dict
 from ..core.scheduling import locality_aware_schedule
 from ..core.sparse_fetch import SageStrategy, lower_sage_lstm
 from ..core.tuner import _cached_grouping, pick_lanes, tune
@@ -113,7 +113,7 @@ class OursRuntime(Framework):
     # Plan-cache plumbing
     # ------------------------------------------------------------------
     def plan_options(self) -> Dict[str, object]:
-        return dataclasses.asdict(self.options)
+        return config_dict(self.options)
 
     def plan_cache_enabled(self) -> bool:
         return self._plan_cache_safe

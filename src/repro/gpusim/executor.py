@@ -32,7 +32,6 @@ Performance layer (see DESIGN.md "Performance architecture"):
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from typing import Iterable, Sequence, Tuple
 
@@ -63,10 +62,11 @@ from .memo import (
     PLAN_MEMO,
     STREAM_CACHE,
     StreamPlan,
+    _config_repr,
     array_digest,
     memo_stats,
 )
-from .metrics import KernelStats, RunReport, occupancy_below
+from .metrics import KernelStats, RunReport, copy_stats, occupancy_below
 
 __all__ = [
     "simulate_kernel",
@@ -631,9 +631,7 @@ def simulate_kernel(
     cached = KERNEL_MEMO.get(key)
     if cached is not None:
         PERF.count("kernel_memo_hit")
-        return dataclasses.replace(
-            cached, name=kernel.name, occupancy=dict(cached.occupancy)
-        )
+        return copy_stats(cached, name=kernel.name)
     PERF.count("kernel_memo_miss")
     stats = _simulate_kernel_cold(kernel, config, dispatch_overhead)
     KERNEL_MEMO.put(key, stats)
@@ -699,7 +697,7 @@ def plan_memo_key(plan, config: GPUConfig | None = None):
     cfg = config if config is not None else plan.gpu_config
     return (
         plan.plan_id,
-        dataclasses.astuple(cfg),
+        _config_repr(cfg),
         plan.dispatch_overhead,
         cache_model_mode(),
     )
@@ -726,12 +724,9 @@ def simulate_plan(plan, config: GPUConfig | None = None) -> RunReport:
     cached = PLAN_MEMO.get(key)
     if cached is not None:
         report = RunReport(
-            label=plan.label, peak_mem_bytes=plan.peak_mem_bytes
+            kernels=[copy_stats(stats) for stats in cached],
+            label=plan.label, peak_mem_bytes=plan.peak_mem_bytes,
         )
-        for stats in cached:
-            report.add(dataclasses.replace(
-                stats, occupancy=dict(stats.occupancy)
-            ))
         report.extra["perf"] = {
             "cache_model_seconds": 0.0,
             "schedule_seconds": 0.0,

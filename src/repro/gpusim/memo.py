@@ -24,7 +24,9 @@ Array fingerprints use SHA-256 over the raw bytes (the fastest hash in
 this interpreter on bulk input, ~1.8x BLAKE2b).  Arrays are treated
 as immutable once simulated (the repo-wide convention); a weakref-guarded
 identity cache makes re-hashing long-lived arrays (e.g. a graph's CSR
-``indices``) free without ever trusting a recycled ``id()``.
+``indices``) free without ever trusting a recycled ``id()``.  Each entry
+is evicted by its array's own weakref callback when the array dies, so
+the table tracks the live arrays and never needs a sweep.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ __all__ = [
 
 #: id(array) -> (weakref, digest).  The weakref proves the id has not
 #: been recycled by the allocator (the aliasing trap ``id()``-keyed
-#: caches fall into after garbage collection).
-_DIGESTS: Dict[int, Tuple[weakref.ref, bytes]] = {}
-_DIGEST_SWEEP_AT = 4096
+#: caches fall into after garbage collection); its callback evicts the
+#: entry when the array dies.
+_DIGESTS: Dict[int, Tuple[weakref.KeyedRef, bytes]] = {}
 
 #: id(config) -> (config, repr) — ``dataclasses.astuple`` walks the whole
 #: frozen config on every call, which dominates fingerprinting of
@@ -84,6 +86,18 @@ def _config_repr(config) -> str:
     return text
 
 
+def _evict_digest(ref: weakref.KeyedRef) -> None:
+    """Weakref callback: drop a dead array's entry.
+
+    The entry is removed only while it still holds ``ref``: after
+    :func:`clear_caches` or a re-registration under a recycled ``id()``
+    the slot belongs to a live array and must survive.
+    """
+    entry = _DIGESTS.get(ref.key)
+    if entry is not None and entry[0] is ref:
+        del _DIGESTS[ref.key]
+
+
 def array_digest(arr: Optional[np.ndarray]) -> bytes:
     """16-byte SHA-256 content digest of an array (or ``None``)."""
     if arr is None:
@@ -98,14 +112,13 @@ def array_digest(arr: Optional[np.ndarray]) -> bytes:
     h.update(np.asarray(a.shape, dtype=np.int64).tobytes())
     h.update(a.data)
     digest = h.digest()[:16]
-    if len(_DIGESTS) >= _DIGEST_SWEEP_AT:
-        dead = [k for k, (ref, _) in _DIGESTS.items() if ref() is None]
-        for k in dead:
-            del _DIGESTS[k]
     try:
-        _DIGESTS[key] = (weakref.ref(arr), digest)
+        # A KeyedRef carries its key, so one shared callback serves
+        # every entry (no per-entry closure).
+        ref = weakref.KeyedRef(arr, _evict_digest, key)
     except TypeError:  # non-weakref-able input (e.g. np.matrix subclass)
-        pass
+        return digest
+    _DIGESTS[key] = (ref, digest)
     return digest
 
 

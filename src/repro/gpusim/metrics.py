@@ -11,13 +11,13 @@ active-block timeline summaries (Table 4, Fig. 8).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..perf import fastpath_enabled
 
-__all__ = ["KernelStats", "RunReport", "occupancy_below"]
+__all__ = ["KernelStats", "RunReport", "copy_stats", "occupancy_below"]
 
 
 def occupancy_below(
@@ -111,6 +111,24 @@ class KernelStats:
     @property
     def gflops(self) -> float:
         return self.flops / self.time / 1e9 if self.time > 0 else 0.0
+
+
+def copy_stats(stats: KernelStats, name: Optional[str] = None) -> KernelStats:
+    """A caller-owned copy of memoized ``stats`` (optionally renamed).
+
+    Memo tiers hand out one :class:`KernelStats` per caller: the scalar
+    fields are shared by a plain ``__dict__`` copy and the occupancy
+    dict is fresh, so mutating a copy never poisons the cached entry.
+    This is the whole memo-hit cost per kernel, so it skips the field
+    walk of ``dataclasses.replace``.
+    """
+    fields = stats.__dict__.copy()
+    fields["occupancy"] = dict(stats.occupancy)
+    if name is not None:
+        fields["name"] = name
+    new = object.__new__(KernelStats)
+    new.__dict__ = fields
+    return new
 
 
 @dataclasses.dataclass

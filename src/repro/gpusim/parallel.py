@@ -29,14 +29,13 @@ serial execution.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..perf import PERF, cache_model_mode, fastpath_enabled, memo_enabled
 from .config import GPUConfig
 from .kernel import KernelSpec
-from .metrics import KernelStats
+from .metrics import KernelStats, copy_stats
 
 __all__ = [
     "simulate_kernels_parallel",
@@ -113,9 +112,7 @@ def _simulate_chunk(payload):
 
 def _restore(stats: KernelStats, kernel: KernelSpec) -> KernelStats:
     """Per-caller copy with the display name restored (memo contract)."""
-    return dataclasses.replace(
-        stats, name=kernel.name, occupancy=dict(stats.occupancy)
-    )
+    return copy_stats(stats, name=kernel.name)
 
 
 def simulate_kernels_parallel(

@@ -31,6 +31,7 @@ every member request.
 
 from .admission import (
     REASON_GRAPH_TOO_LARGE,
+    REASON_NOT_SUPPORTED,
     REASON_TENANT_QUOTA,
     REASON_UNKNOWN_FRAMEWORK,
     REASON_UNKNOWN_MODEL,
@@ -51,6 +52,7 @@ __all__ = [
     "REASON_UNKNOWN_FRAMEWORK",
     "REASON_GRAPH_TOO_LARGE",
     "REASON_TENANT_QUOTA",
+    "REASON_NOT_SUPPORTED",
     "Batch",
     "plan_batches",
     "PlanServer",

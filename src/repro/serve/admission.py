@@ -21,6 +21,7 @@ __all__ = [
     "REASON_UNKNOWN_FRAMEWORK",
     "REASON_GRAPH_TOO_LARGE",
     "REASON_TENANT_QUOTA",
+    "REASON_NOT_SUPPORTED",
     "AdmissionPolicy",
     "admit",
 ]
@@ -29,6 +30,9 @@ REASON_UNKNOWN_MODEL = "unknown_model"
 REASON_UNKNOWN_FRAMEWORK = "unknown_framework"
 REASON_GRAPH_TOO_LARGE = "graph_too_large"
 REASON_TENANT_QUOTA = "tenant_quota"
+#: Set at plan resolution, not admission: admitted, but the framework
+#: cannot compile the model (an ``error`` response, not a rejection).
+REASON_NOT_SUPPORTED = "not_supported"
 
 #: The model catalog every framework understands (the paper's three).
 KNOWN_MODELS = ("gcn", "gat", "sage_lstm")

@@ -58,7 +58,8 @@ class InferenceRequest:
 
 @dataclasses.dataclass
 class ServeResponse:
-    """Per-request outcome: a result, or an admission rejection.
+    """Per-request outcome: a result, an admission rejection, or an
+    ``error`` (admitted, but its framework cannot compile the model).
 
     ``batch_size``/``batch_leader`` expose the compatibility batching:
     the leader request drove the batch's single simulated execution, the
@@ -69,9 +70,9 @@ class ServeResponse:
     """
 
     request: InferenceRequest
-    status: str = "ok"                       # "ok" | "rejected"
+    status: str = "ok"                       # "ok" | "rejected" | "error"
     result: Optional[ForwardResult] = None
-    reason: Optional[str] = None             # admission reason code
+    reason: Optional[str] = None             # admission/error reason code
     plan_id: Optional[str] = None
     cache_hit: bool = False
     batch_id: int = -1
@@ -86,7 +87,7 @@ class ServeResponse:
     def describe(self) -> str:
         if not self.ok:
             return (f"{self.request.request_id} [{self.request.tenant}] "
-                    f"REJECTED ({self.reason})")
+                    f"{self.status.upper()} ({self.reason})")
         return (
             f"{self.request.request_id} [{self.request.tenant}] "
             f"{self.request.framework_name()}:{self.request.model}:"

@@ -17,16 +17,15 @@ codebase.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..frameworks.base import ForwardResult, Framework
+from ..frameworks.base import ForwardResult, Framework, NotSupported
 from ..gpusim.config import GPUConfig
-from ..gpusim.metrics import RunReport
+from ..gpusim.metrics import RunReport, copy_stats
 from ..graph.csr import CSRGraph
 from ..perf import PERF, LatencyHistogram, workers
-from .admission import AdmissionPolicy, admit
+from .admission import REASON_NOT_SUPPORTED, AdmissionPolicy, admit
 from .batching import Batch, plan_batches
 from .request import InferenceRequest, ServeResponse
 
@@ -103,11 +102,10 @@ def _clone_result(
     batch instead of driving its own simulation.
     """
     src = leader.report
-    report = RunReport(label=src.label, peak_mem_bytes=src.peak_mem_bytes)
-    for stats in src.kernels:
-        report.add(dataclasses.replace(
-            stats, occupancy=dict(stats.occupancy)
-        ))
+    report = RunReport(
+        kernels=[copy_stats(stats) for stats in src.kernels],
+        label=src.label, peak_mem_bytes=src.peak_mem_bytes,
+    )
     for key, value in plan.extra.items():
         report.extra.setdefault(key, value)
     perf = report.extra.setdefault("perf", {})
@@ -185,7 +183,7 @@ class PlanServer:
         self._tenant_latency: Dict[str, LatencyHistogram] = {}
         self._served_plans: Dict[str, Tuple[str, object, object]] = {}
         self._counts = {
-            "submitted": 0, "served": 0, "rejected": 0,
+            "submitted": 0, "served": 0, "rejected": 0, "failed": 0,
             "batches": 0, "fanned_out": 0, "cache_hits": 0,
             "flushes": 0, "max_batch": 0,
         }
@@ -241,9 +239,9 @@ class PlanServer:
                 [req for req, _ in queue],
                 self._resolve_framework, self.sim,
             )
-            resolved = self._resolve_batches(batches)
-            self._presimulate_cold(resolved)
             responses: Dict[str, ServeResponse] = {}
+            resolved = self._resolve_batches(batches, responses)
+            self._presimulate_cold(resolved)
             for batch_id, (batch, plan, cache_hit) in enumerate(resolved):
                 self._execute_batch(
                     batch, plan, cache_hit, batch_id,
@@ -266,13 +264,31 @@ class PlanServer:
         return [flushed[req.request_id] for req in requests]
 
     # ------------------------------------------------------------------
-    def _resolve_batches(self, batches: List[Batch]):
+    def _resolve_batches(
+        self, batches: List[Batch], responses: Dict[str, ServeResponse]
+    ):
+        """Resolve each batch to a plan, one batch at a time.
+
+        A batch whose framework cannot compile its model answers each
+        of its requests with an ``error`` response; the rest of the
+        window still serves.
+        """
         resolved = []
         for batch in batches:
-            plan, cache_hit = resolve_plan(
-                batch.framework, batch.model_name, batch.graph,
-                self.sim, model=batch.model, signature=batch.signature,
-            )
+            try:
+                plan, cache_hit = resolve_plan(
+                    batch.framework, batch.model_name, batch.graph,
+                    self.sim, model=batch.model, signature=batch.signature,
+                )
+            except NotSupported:
+                for req in batch.requests:
+                    self._counts["failed"] += 1
+                    PERF.count("serve_failed")
+                    responses[req.request_id] = ServeResponse(
+                        request=req, status="error",
+                        reason=REASON_NOT_SUPPORTED,
+                    )
+                continue
             resolved.append((batch, plan, cache_hit))
         return resolved
 

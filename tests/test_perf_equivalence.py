@@ -14,9 +14,14 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.core import plan as core_plan
 from repro.core.lowering import ExecLayout, aggregation_kernel
 from repro.core.minhash import minhash_signatures
+from repro.frameworks import all_frameworks
+from repro.frameworks import base as frameworks_base
+from repro.frameworks import ours as frameworks_ours
 from repro.graph.generators import power_law_graph
+from repro.gpusim import memo
 from repro.gpusim.cache import (
     _reuse_distances_reference,
     previous_occurrence,
@@ -38,6 +43,8 @@ from repro.gpusim.memo import (
     array_digest,
     clear_caches,
 )
+from repro.gpusim.metrics import copy_stats
+from repro.models import GATConfig, GCNConfig, SageLSTMConfig
 
 
 @pytest.fixture(autouse=True)
@@ -233,3 +240,112 @@ def test_stream_cache_off_and_on_identical():
     cached = simulate_kernel(k, V100_SCALED)
     for f in dataclasses.fields(no_cache):
         assert getattr(no_cache, f.name) == getattr(cached, f.name), f.name
+
+
+def test_digest_table_evicts_dead_arrays():
+    """Entries leave with their arrays (weakref callbacks), no sweep."""
+    start = len(memo._DIGESTS)
+    arrays = [np.arange(64) + i for i in range(300)]
+    for arr in arrays:
+        array_digest(arr)
+    assert len(memo._DIGESTS) == start + 300
+    del arr
+    arrays.clear()
+    assert len(memo._DIGESTS) == start
+    assert not hasattr(memo, "_DIGEST_SWEEP_AT")
+
+
+def test_digest_after_clear_survives_earlier_callbacks():
+    dropped = [np.arange(32) + i for i in range(50)]
+    for arr in dropped:
+        array_digest(arr)
+    del arr
+    kept = np.arange(32) * 3
+    array_digest(kept)
+    # A late callback of the pre-clear registration of ``kept`` must not
+    # evict the re-registration made after clear_caches().
+    stale = memo._DIGESTS[id(kept)][0]
+    clear_caches()
+    digest = array_digest(kept)
+    dropped.clear()  # their callbacks fire now
+    memo._evict_digest(stale)
+    assert memo._DIGESTS[id(kept)][1] == digest
+    assert len(memo._DIGESTS) == 1
+    assert array_digest(kept) == digest
+
+
+def test_copy_stats_is_an_independent_equal_copy():
+    stats = simulate_kernel(_sample_kernel(), V100_SCALED)
+    copy = copy_stats(stats)
+    renamed = copy_stats(stats, name="other")
+    assert dataclasses.asdict(copy) == dataclasses.asdict(stats)
+    assert renamed.name == "other" and stats.name != "other"
+    assert renamed.makespan == stats.makespan
+    copy.occupancy[0.5] = -1.0
+    assert stats.occupancy[0.5] != -1.0
+
+
+# ----------------------------------------------------------------------
+# Plan-key derivation: the memoized config dicts change no key
+# ----------------------------------------------------------------------
+
+_MODEL_VARIANTS = {
+    "gcn": GCNConfig(dims=(32, 16, 4)),
+    "gat": GATConfig(dims=(32, 8, 4), negative_slope=0.1),
+    "sage_lstm": SageLSTMConfig(hidden=16),
+}
+_SIM_VARIANTS = {
+    "default": V100_SCALED,
+    "launch": V100_SCALED.replace(kernel_launch_overhead=7e-6),
+    # Equal to V100_SCALED's bandwidth but an int: JSON tells them apart.
+    "int_bandwidth": V100_SCALED.replace(
+        dram_bandwidth=int(V100_SCALED.dram_bandwidth)
+    ),
+}
+
+
+def _uncached_signature(monkeypatch, fw, model, g, sim, cfg):
+    with monkeypatch.context() as m:
+        for mod in (core_plan, frameworks_base, frameworks_ours):
+            m.setattr(mod, "config_dict", dataclasses.asdict)
+        return fw.plan_signature(model, g, sim, model=cfg)[0]
+
+
+@pytest.mark.parametrize("model", sorted(_MODEL_VARIANTS))
+def test_cached_plan_keys_equal_uncached(monkeypatch, model):
+    g = power_law_graph(300, 6, seed=2)
+    for fw in all_frameworks().values():
+        for sim_name, sim in _SIM_VARIANTS.items():
+            for cfg in (None, _MODEL_VARIANTS[model]):
+                expected = _uncached_signature(
+                    monkeypatch, fw, model, g, sim, cfg
+                )
+                for _ in range(2):  # the miss, then the hit
+                    key = fw.plan_signature(model, g, sim, model=cfg)[0]
+                    assert key == expected, (fw.name, sim_name, cfg)
+    assert (
+        core_plan.plan_key("dgl", "gcn", g, model_config={}, options={},
+                           gpu_config=_SIM_VARIANTS["default"],
+                           dispatch_overhead=0.0)
+        != core_plan.plan_key("dgl", "gcn", g, model_config={}, options={},
+                              gpu_config=_SIM_VARIANTS["int_bandwidth"],
+                              dispatch_overhead=0.0)
+    )
+
+
+def test_config_dict_falls_back_for_unhashable_configs(monkeypatch):
+    g = power_law_graph(300, 6, seed=2)
+    listy = GCNConfig(dims=[32, 16, 4])  # frozen, but a list field
+    with pytest.raises(TypeError):
+        hash(listy)
+
+    @dataclasses.dataclass
+    class Mutable:
+        width: int = 4
+
+    assert core_plan.config_dict(listy) == dataclasses.asdict(listy)
+    assert core_plan.config_dict(Mutable()) == {"width": 4}
+    fw = all_frameworks()["dgl"]
+    assert fw.plan_signature("gcn", g, V100_SCALED, model=listy)[0] == (
+        _uncached_signature(monkeypatch, fw, "gcn", g, V100_SCALED, listy)
+    )

@@ -31,6 +31,7 @@ from repro.models import GCNConfig
 from repro.perf import PERF
 from repro.serve import (
     REASON_GRAPH_TOO_LARGE,
+    REASON_NOT_SUPPORTED,
     REASON_TENANT_QUOTA,
     REASON_UNKNOWN_FRAMEWORK,
     REASON_UNKNOWN_MODEL,
@@ -204,6 +205,36 @@ class TestBatchedBitIdentity:
         assert server.stats()["batches"] == 4
         for resp, seq in zip(responses, sequential):
             assert_results_identical(resp.result, seq)
+
+    def test_unsupported_batch_fails_alone(self, g):
+        """A batch whose framework cannot compile its model answers its
+        request with an error; the rest of the window serves bit-for-bit
+        as if run alone."""
+        frameworks = all_frameworks()
+        good = [("dgl", "gcn"), ("pyg", "gat"), ("dgl", "gcn")]
+        sequential = [
+            execute_one(frameworks[fw], model, g, V100_SCALED)
+            for fw, model in good
+        ]
+        clear_caches()
+        server = PlanServer(frameworks=frameworks, sim=V100_SCALED)
+        requests = [
+            InferenceRequest(model, g, framework=fw, tenant=f"t{i}")
+            for i, (fw, model) in enumerate(good)
+        ]
+        requests.insert(1, InferenceRequest(
+            "sage_lstm", g, framework="pyg", tenant="bad",
+        ))
+        responses = server.serve(requests)
+        assert [r.status for r in responses] == ["ok", "error", "ok", "ok"]
+        bad = responses[1]
+        assert bad.reason == REASON_NOT_SUPPORTED and bad.result is None
+        assert "ERROR (not_supported)" in bad.describe()
+        served = [r for r in responses if r.ok]
+        for resp, seq in zip(served, sequential):
+            assert_results_identical(resp.result, seq)
+        stats = server.stats()
+        assert (stats["served"], stats["failed"], stats["batches"]) == (3, 1, 2)
 
     def test_uncacheable_framework_never_batches(self, g):
         """Injected scheduling the content address cannot see: requests
